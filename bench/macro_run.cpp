@@ -69,9 +69,11 @@ MacroRun run_macro(MacroConfig config) {
     run.scenario->engine().run_until(sim::TimePoint::start() +
                                      sim::Duration::days(day + 1));
     if ((day + 1) % 10 == 0 || day + 1 == days) {
-      std::fprintf(stderr, "  [macro-run] day %d/%d (%zu sessions live)\n",
-                   day + 1, days,
-                   run.scenario->generator().live_session_count());
+      std::fprintf(stderr,
+                   "  [macro-run] day %d/%d (%zu sessions live, %" PRIu64
+                   " engine events)\n",
+                   day + 1, days, run.scenario->generator().live_session_count(),
+                   run.scenario->engine().events_processed());
     }
   }
   return run;

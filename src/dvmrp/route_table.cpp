@@ -40,11 +40,8 @@ Route& RouteTable::upsert(const net::Prefix& prefix, int metric,
 const Route* RouteTable::rpf_lookup(net::Ipv4Address source) const {
   // Most specific *valid* covering route: a hold-down route does not shadow
   // a shorter valid one.
-  const auto matches = table_.all_matches(source);
-  for (auto it = matches.rbegin(); it != matches.rend(); ++it) {
-    if (it->second->state == RouteState::kValid) return it->second;
-  }
-  return nullptr;
+  return table_.longest_match_if(
+      source, [](const Route& route) { return route.state == RouteState::kValid; });
 }
 
 std::vector<Route> RouteTable::routes() const {

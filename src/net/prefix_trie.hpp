@@ -71,22 +71,22 @@ class PrefixTrie {
     return best;
   }
 
-  /// All entries covering `addr`, ordered shortest prefix first. Use when
-  /// the best match needs additional filtering (e.g. skipping hold-down
-  /// routes during RPF).
-  [[nodiscard]] std::vector<std::pair<Prefix, const Value*>> all_matches(
-      Ipv4Address addr) const {
-    std::vector<std::pair<Prefix, const Value*>> out;
+  /// Most specific entry covering `addr` whose value satisfies `pred`, or
+  /// nullptr. Use when the best match needs additional filtering (e.g.
+  /// skipping hold-down routes during RPF); one descent, no allocation.
+  template <typename Pred>
+  [[nodiscard]] const Value* longest_match_if(Ipv4Address addr, Pred&& pred) const {
     const Node* node = root_.get();
+    const Value* best = nullptr;
     for (int depth = 0;; ++depth) {
-      if (node->value.has_value()) out.emplace_back(Prefix(addr, depth), &*node->value);
+      if (node->value.has_value() && pred(*node->value)) best = &*node->value;
       if (depth == 32) break;
       const int bit = (addr.value() >> (31 - depth)) & 1;
       const Node* child = node->child[bit].get();
       if (child == nullptr) break;
       node = child;
     }
-    return out;
+    return best;
   }
 
   /// Visits all entries in address order (pre-order over the trie, which for

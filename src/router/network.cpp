@@ -1,7 +1,6 @@
 #include "router/network.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace mantra::router {
 
@@ -13,15 +12,18 @@ MulticastRouter& Network::add_router(net::NodeId node, RouterConfig config) {
   auto router = std::make_unique<MulticastRouter>(*this, node, std::move(config));
   MulticastRouter& ref = *router;
   routers_[node] = std::move(router);
+  if (node >= router_index_.size()) router_index_.resize(node + 1, nullptr);
+  router_index_[node] = &ref;
+  ++first_hop_generation_;
   return ref;
 }
 
 void Network::start() {
   rebuild_adjacency_cache();
-  std::vector<UnicastRib> ribs = compute_global_routes(topology_);
   for (auto& [node, router] : routers_) {
-    router->rib() = std::move(ribs[node]);
+    router->rib() = compute_routes(topology_, node);
   }
+  ++first_hop_generation_;  // the topology may have grown since add_router
   started_ = true;
   if (!config_.lazy_recompute_interval.is_zero()) {
     lazy_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -67,17 +69,16 @@ void Network::set_interface_enabled(net::NodeId node, net::IfIndex ifindex,
                                     bool enabled) {
   topology_.set_interface_enabled(node, ifindex, enabled);
   rebuild_adjacency_cache();
+  ++first_hop_generation_;
   schedule_recompute(net::Ipv4Address{});
 }
 
 MulticastRouter* Network::router(net::NodeId node) {
-  const auto it = routers_.find(node);
-  return it == routers_.end() ? nullptr : it->second.get();
+  return node < router_index_.size() ? router_index_[node] : nullptr;
 }
 
 const MulticastRouter* Network::router(net::NodeId node) const {
-  const auto it = routers_.find(node);
-  return it == routers_.end() ? nullptr : it->second.get();
+  return node < router_index_.size() ? router_index_[node] : nullptr;
 }
 
 MulticastRouter* Network::router_by_address(net::Ipv4Address address) {
@@ -99,7 +100,7 @@ net::NodeId Network::first_hop_router(net::NodeId host) const {
     for (const net::Attachment& att : topology_.neighbors(host, iface.ifindex)) {
       const net::Node& peer = topology_.node(att.node);
       if (peer.kind != net::NodeKind::kRouter) continue;
-      if (routers_.find(att.node) == routers_.end()) continue;
+      if (router(att.node) == nullptr) continue;
       const net::Ipv4Address addr = peer.interface(att.ifindex)->address;
       if (best == net::kInvalidNode || addr < best_addr) {
         best = att.node;
@@ -108,6 +109,25 @@ net::NodeId Network::first_hop_router(net::NodeId host) const {
     }
   }
   return best;
+}
+
+const Network::FirstHop& Network::first_hop(net::NodeId host) {
+  if (host >= first_hop_cache_.size()) first_hop_cache_.resize(host + 1);
+  FirstHop& cached = first_hop_cache_[host];
+  if (cached.generation == first_hop_generation_) return cached;
+  cached.router = first_hop_router(host);
+  cached.entry_if = net::kInvalidIf;
+  if (cached.router != net::kInvalidNode) {
+    // Interface of the first-hop router on the source's LAN.
+    for (const net::Interface& iface : topology_.node(host).interfaces) {
+      if (iface.link == net::kInvalidLink) continue;
+      for (const net::Attachment& att : topology_.link(iface.link).attachments) {
+        if (att.node == cached.router) cached.entry_if = att.ifindex;
+      }
+    }
+  }
+  cached.generation = first_hop_generation_;
+  return cached;
 }
 
 double Network::link_loss(net::LinkId link) const {
@@ -198,7 +218,7 @@ void Network::flow_start(net::NodeId host, net::Ipv4Address group,
   group_planes_.try_emplace(group, plane);
 
   if (plane == MfcMode::kSparse && rate_kbps >= config_.sparse_min_rate_kbps) {
-    const net::NodeId dr_node = first_hop_router(host);
+    const net::NodeId dr_node = first_hop(host).router;
     if (MulticastRouter* dr = router(dr_node); dr != nullptr && dr->pim() != nullptr) {
       engine_.schedule_after(sim::Duration::milliseconds(1),
                              [dr, source, group] {
@@ -245,7 +265,7 @@ void Network::flow_stop(net::NodeId host, net::Ipv4Address group) {
     // Register path teardown at the DR, SA/interest teardown at the RPs.
     // (With protocol timers enabled this also happens by expiry; doing it
     // explicitly keeps trace-scale runs correct with timers disabled.)
-    const net::NodeId dr_node = first_hop_router(host);
+    const net::NodeId dr_node = first_hop(host).router;
     const net::Ipv4Address source = flow.source;
     if (MulticastRouter* dr = router(dr_node); dr != nullptr && dr->pim() != nullptr) {
       dr->pim()->local_source_gone(source, group);
@@ -330,8 +350,38 @@ void Network::recompute_all_now() {
 }
 
 void Network::recompute_group(net::Ipv4Address group) {
+  bool members_collected = false;
   for (auto& [key, flow] : flows_) {
-    if (key.second == group && flow.active) recompute_flow(flow);
+    if (key.second != group || !flow.active) continue;
+    if (!members_collected) {
+      collect_members(group);
+      members_collected = true;
+    }
+    recompute_flow(flow);
+  }
+}
+
+void Network::collect_members(net::Ipv4Address group) {
+  member_hosts_.clear();
+  member_links_.clear();
+  const auto members = members_.find(group);
+  if (members == members_.end()) return;
+  for (const net::NodeId member : members->second) {
+    member_hosts_.push_back(member);
+    for (const net::Interface& iface : topology_.node(member).interfaces) {
+      if (iface.link != net::kInvalidLink) member_links_.emplace_back(iface.link, member);
+    }
+  }
+  std::sort(member_links_.begin(), member_links_.end());
+}
+
+void Network::reach_members(net::LinkId link, net::NodeId except) {
+  const auto [first, last] = std::equal_range(
+      member_links_.begin(), member_links_.end(),
+      std::pair{link, net::NodeId{0}},
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto it = first; it != last; ++it) {
+    if (it->second != except) reached_mark_[it->second] = walk_epoch_;
   }
 }
 
@@ -348,71 +398,62 @@ void Network::recompute_flow(Flow& flow) {
     }
   }
 
-  std::set<net::NodeId> on_tree;
-  std::set<net::NodeId> reached;
+  walk_tree_.clear();
+  if (walk_mark_.size() < topology_.node_count()) {
+    walk_mark_.resize(topology_.node_count(), 0);
+    reached_mark_.resize(topology_.node_count(), 0);
+  }
+  if (++walk_epoch_ == 0) {  // wrapped: forget every old mark
+    std::fill(walk_mark_.begin(), walk_mark_.end(), 0);
+    std::fill(reached_mark_.begin(), reached_mark_.end(), 0);
+    walk_epoch_ = 1;
+  }
 
   // Members on the sender's own LAN hear the transmission directly; no
   // router is involved in same-link delivery.
-  if (const auto members = members_.find(flow.group); members != members_.end()) {
-    const net::Node& host_node = topology_.node(flow.host);
-    for (const net::Interface& iface : host_node.interfaces) {
-      if (iface.link == net::kInvalidLink || !iface.enabled) continue;
-      for (const net::Attachment& att : topology_.link(iface.link).attachments) {
-        if (att.node != flow.host &&
-            members->second.find(att.node) != members->second.end()) {
-          reached.insert(att.node);
-        }
-      }
-    }
+  for (const net::Interface& iface : topology_.node(flow.host).interfaces) {
+    if (iface.link == net::kInvalidLink || !iface.enabled) continue;
+    reach_members(iface.link, flow.host);
   }
 
-  const net::NodeId first_hop = first_hop_router(flow.host);
+  const FirstHop& entry_point = first_hop(flow.host);
+  const net::NodeId first_hop = entry_point.router;
   if (first_hop != net::kInvalidNode) {
-    // Interface of the first-hop router on the source's LAN.
-    net::IfIndex entry_if = net::kInvalidIf;
-    const net::Node& host_node = topology_.node(flow.host);
-    for (const net::Interface& iface : host_node.interfaces) {
-      if (iface.link == net::kInvalidLink) continue;
-      for (const net::Attachment& att : topology_.link(iface.link).attachments) {
-        if (att.node == first_hop) entry_if = att.ifindex;
-      }
-    }
+    walk_queue_.clear();
+    walk_queue_.emplace_back(first_hop, entry_point.entry_if);
 
-    std::deque<std::pair<net::NodeId, net::IfIndex>> queue;
-    queue.emplace_back(first_hop, entry_if);
-
-    while (!queue.empty()) {
-      const auto [node, iif] = queue.front();
-      queue.pop_front();
-      if (on_tree.find(node) != on_tree.end()) continue;
+    for (std::size_t head = 0; head < walk_queue_.size(); ++head) {
+      const auto [node, iif] = walk_queue_[head];
+      if (walk_mark_[node] == walk_epoch_) continue;  // already on tree
       MulticastRouter* r = router(node);
       if (r == nullptr) continue;
 
-      std::set<net::IfIndex> oifs;
+      MfcEntry* entry = nullptr;
       if (flow.plane == MfcMode::kDense) {
-        const auto accepted = r->dense_accept(flow.source, flow.group, iif);
-        if (!accepted) continue;  // RPF failure
-        oifs = *accepted;
+        entry = r->dense_accept(flow.source, flow.group, iif);
+        if (entry == nullptr) continue;  // RPF failure
       } else {
         const bool first_hop_entry = node == first_hop;
         // Sub-threshold sparse flows never sustain state past the DR (see
         // NetworkConfig::sparse_min_rate_kbps).
         if (flow.rate_kbps < config_.sparse_min_rate_kbps && !first_hop_entry) break;
-        oifs = r->sparse_oifs(flow.source, flow.group, iif);
+        std::set<net::IfIndex> oifs = r->sparse_oifs(flow.source, flow.group, iif);
         if (flow.rate_kbps < config_.sparse_min_rate_kbps) oifs.clear();
         if (oifs.empty() && !first_hop_entry) continue;  // off-tree
+        entry = &r->mfc().ensure(flow.source, flow.group, flow.plane, iif, now);
+        entry->oifs = std::move(oifs);
       }
 
-      on_tree.insert(node);
+      walk_mark_[node] = walk_epoch_;
+      walk_tree_.push_back(node);
       flow.ever_touched.insert(node);
-      MfcEntry& entry = r->mfc().ensure(flow.source, flow.group, flow.plane,
-                                        iif, now);
-      entry.advance(now);
-      entry.iif = iif;
-      entry.rate_kbps = flow.rate_kbps;
-      if (flow.plane == MfcMode::kSparse) entry.oifs = oifs;
+      entry->advance(now);
+      entry->iif = iif;
+      entry->rate_kbps = flow.rate_kbps;
 
-      for (net::IfIndex oif : oifs) {
+      // Nothing below touches the MFC, so the entry's own oif set is read
+      // in place rather than copied.
+      for (net::IfIndex oif : entry->oifs) {
         const net::Interface* iface = topology_.node(node).interface(oif);
         if (iface == nullptr || !iface->enabled) continue;
 
@@ -424,25 +465,21 @@ void Network::recompute_flow(Flow& flow) {
 
         // Routers continue the walk (cached adjacency; no allocation).
         for (const net::Attachment& att : router_neighbors(node, oif)) {
-          if (routers_.find(att.node) != routers_.end()) {
-            queue.emplace_back(att.node, att.ifindex);
-          }
+          if (router(att.node) != nullptr) walk_queue_.emplace_back(att.node, att.ifindex);
         }
         // Member hosts on the oif's link receive the flow.
-        const auto it = members_.find(flow.group);
-        if (it != members_.end() && iface->link != net::kInvalidLink) {
-          for (const net::Attachment& att : topology_.link(iface->link).attachments) {
-            if (att.node != node && it->second.find(att.node) != it->second.end()) {
-              reached.insert(att.node);
-            }
-          }
-        }
+        if (iface->link != net::kInvalidLink) reach_members(iface->link, node);
       }
     }
   }
 
-  flow.on_tree = std::move(on_tree);
-  flow.reached_hosts = std::move(reached);
+  // Reached members, in member (ascending id) order.
+  walk_reached_.clear();
+  for (const net::NodeId member : member_hosts_) {
+    if (reached_mark_[member] == walk_epoch_) walk_reached_.push_back(member);
+  }
+  flow.on_tree.assign(walk_tree_);
+  flow.reached_hosts.assign(walk_reached_);
 }
 
 // ---------------------------------------------------------------------------

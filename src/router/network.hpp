@@ -11,6 +11,8 @@
 // router state evolves the same way it would under packet forwarding.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -63,6 +65,43 @@ struct NetworkConfig {
   sim::Duration host_report_interval;
 };
 
+/// A set of node ids kept as a sorted, de-duplicated flat vector. It reads
+/// like std::set<NodeId> (ascending iteration, count, size) but membership is
+/// a binary search and re-assigning it reuses the vector's storage, so the
+/// tree walk can rebuild a flow's sets without touching the heap.
+class NodeSet {
+ public:
+  using const_iterator = std::vector<net::NodeId>::const_iterator;
+
+  /// Adds `node`; returns false if it was already present.
+  bool insert(net::NodeId node) {
+    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
+    if (it != nodes_.end() && *it == node) return false;
+    nodes_.insert(it, node);
+    return true;
+  }
+
+  /// Replaces the contents with `nodes` (any order, duplicates allowed).
+  void assign(const std::vector<net::NodeId>& nodes) {
+    nodes_.assign(nodes.begin(), nodes.end());
+    if (!std::is_sorted(nodes_.begin(), nodes_.end())) {
+      std::sort(nodes_.begin(), nodes_.end());
+    }
+    nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  }
+
+  [[nodiscard]] std::size_t count(net::NodeId node) const {
+    return std::binary_search(nodes_.begin(), nodes_.end(), node) ? 1 : 0;
+  }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  [[nodiscard]] bool empty() const { return nodes_.empty(); }
+  [[nodiscard]] const_iterator begin() const { return nodes_.begin(); }
+  [[nodiscard]] const_iterator end() const { return nodes_.end(); }
+
+ private:
+  std::vector<net::NodeId> nodes_;
+};
+
 /// A rate-based data flow from one source host to a group.
 struct Flow {
   net::NodeId host = net::kInvalidNode;
@@ -73,13 +112,13 @@ struct Flow {
   sim::TimePoint started;
   bool active = true;
   /// Routers whose MFC currently carries this flow.
-  std::set<net::NodeId> on_tree;
+  NodeSet on_tree;
   /// Every router that ever held an MFC entry for this flow (the initial
   /// dense flood reaches routers that later prune off; their entries keep
   /// prune state and are only torn down when the flow is retired).
-  std::set<net::NodeId> ever_touched;
+  NodeSet ever_touched;
   /// Member hosts the flow currently reaches.
-  std::set<net::NodeId> reached_hosts;
+  NodeSet reached_hosts;
 };
 
 class Network final : public RouterEnv {
@@ -167,6 +206,14 @@ class Network final : public RouterEnv {
  private:
   using FlowKey = std::pair<net::Ipv4Address, net::Ipv4Address>;  ///< (S, G)
 
+  /// A host's first-hop router and that router's interface on the host's
+  /// LAN; current while `generation` equals first_hop_generation_.
+  struct FirstHop {
+    net::NodeId router = net::kInvalidNode;
+    net::IfIndex entry_if = net::kInvalidIf;
+    std::uint64_t generation = 0;
+  };
+
   [[nodiscard]] double link_loss(net::LinkId link) const;
   [[nodiscard]] MulticastRouter* router_by_address(net::Ipv4Address address);
   void send_igmp_reports(net::NodeId host, net::Ipv4Address group);
@@ -174,15 +221,25 @@ class Network final : public RouterEnv {
   void schedule_recompute(net::Ipv4Address group);
   void process_pending_recomputes();
   void recompute_group(net::Ipv4Address group);
+  /// Fills member_hosts_ and member_links_ for `group`.
+  void collect_members(net::Ipv4Address group);
+  /// Re-walks one flow's tree; member_hosts_/member_links_ must hold the
+  /// flow's group (recompute_group collects them once for all its flows).
   void recompute_flow(Flow& flow);
   void retire_flow(const FlowKey& key);
   void rebuild_adjacency_cache();
+  /// Cached first_hop_router() plus the entry interface the walk starts on.
+  const FirstHop& first_hop(net::NodeId host);
+  /// Marks every member host on `link` (other than `except`) as reached.
+  void reach_members(net::LinkId link, net::NodeId except);
 
   sim::Engine& engine_;
   net::Topology& topology_;
   sim::Rng& rng_;
   NetworkConfig config_;
   std::map<net::NodeId, std::unique_ptr<MulticastRouter>> routers_;
+  /// routers_ indexed by node id (nullptr where no router is registered).
+  std::vector<MulticastRouter*> router_index_;
   std::map<FlowKey, Flow> flows_;
   std::map<net::Ipv4Address, std::set<net::NodeId>> members_;
   std::map<net::Ipv4Address, MfcMode> group_planes_;
@@ -195,6 +252,27 @@ class Network final : public RouterEnv {
   std::set<net::Ipv4Address> pending_recompute_;
   bool recompute_scheduled_ = false;
   bool started_ = false;
+
+  /// Per-host first-hop cache; bumping the generation invalidates it.
+  std::vector<FirstHop> first_hop_cache_;
+  std::uint64_t first_hop_generation_ = 1;
+
+  // Tree-walk scratch, reused by every walk so a warm dense walk does not
+  // allocate.
+  /// walk_mark_[node] == walk_epoch_ once the current walk put node on tree;
+  /// reached_mark_[host] == walk_epoch_ once it delivered to member host.
+  std::vector<std::uint32_t> walk_mark_;
+  std::vector<std::uint32_t> reached_mark_;
+  std::uint32_t walk_epoch_ = 0;
+  /// FIFO of (router, arrival interface), consumed front to back.
+  std::vector<std::pair<net::NodeId, net::IfIndex>> walk_queue_;
+  std::vector<net::NodeId> walk_tree_;     ///< routers put on tree, walk order
+  std::vector<net::NodeId> walk_reached_;  ///< reached members, ascending
+  /// The walked group's member hosts, ascending, and (link, member) for
+  /// every link they are attached to, sorted so one link's members are an
+  /// equal_range: delivery onto a link never scans non-member attachments.
+  std::vector<net::NodeId> member_hosts_;
+  std::vector<std::pair<net::LinkId, net::NodeId>> member_links_;
 };
 
 }  // namespace mantra::router

@@ -301,13 +301,16 @@ bool MulticastRouter::refresh_dense_oifs(MfcEntry& entry) {
   return changed;
 }
 
-std::optional<std::set<net::IfIndex>> MulticastRouter::dense_accept(
-    net::Ipv4Address source, net::Ipv4Address group, net::IfIndex iif) {
+MfcEntry* MulticastRouter::dense_accept(net::Ipv4Address source,
+                                        net::Ipv4Address group, net::IfIndex iif) {
   const auto rpf = rpf_dense(source);
-  if (!rpf || rpf->ifindex != iif) return std::nullopt;  // RPF failure: drop
+  if (!rpf || rpf->ifindex != iif) return nullptr;  // RPF failure: drop
 
-  const bool existed = mfc_.find(source, group) != nullptr;
-  MfcEntry& entry = mfc_.ensure(source, group, MfcMode::kDense, iif, env_.engine().now());
+  MfcEntry* found = mfc_.find(source, group);
+  const bool existed = found != nullptr;
+  MfcEntry& entry = existed ? *found
+                            : mfc_.ensure(source, group, MfcMode::kDense, iif,
+                                          env_.engine().now());
   if (entry.iif != iif) {
     entry.advance(env_.engine().now());
     entry.iif = iif;  // RPF interface moved (route change)
@@ -322,7 +325,7 @@ std::optional<std::set<net::IfIndex>> MulticastRouter::dense_accept(
       !rpf->neighbor.is_unspecified()) {
     send_upstream_prune(entry);
   }
-  return entry.oifs;
+  return &entry;
 }
 
 std::set<net::IfIndex> MulticastRouter::sparse_oifs(net::Ipv4Address source,

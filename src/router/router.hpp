@@ -147,11 +147,11 @@ class MulticastRouter {
 
   // --- Dense-mode data plane ---
   /// A dense flow (source, group) arrives on `iif`. Creates/refreshes the
-  /// MFC entry and returns the interfaces to forward on; nullopt on RPF
-  /// failure. May emit an upstream prune when nothing is downstream.
-  std::optional<std::set<net::IfIndex>> dense_accept(net::Ipv4Address source,
-                                                     net::Ipv4Address group,
-                                                     net::IfIndex iif);
+  /// MFC entry and returns it (its `oifs` are the interfaces to forward
+  /// on); nullptr on RPF failure. May emit an upstream prune when nothing is
+  /// downstream.
+  MfcEntry* dense_accept(net::Ipv4Address source, net::Ipv4Address group,
+                         net::IfIndex iif);
 
   /// Sparse-mode forwarding decision for (S,G) data arriving on `iif`:
   /// union of the PIM (S,G) and (*,G) oifs, minus the arrival interface.

@@ -37,7 +37,12 @@ DijkstraResult dijkstra(const net::Topology& topology, net::NodeId source) {
     if (dist > result.distance[node]) continue;
     for (const net::Interface& iface : topology.node(node).interfaces) {
       if (!iface.enabled || iface.link == net::kInvalidLink) continue;
-      for (const net::Attachment& nbr : topology.neighbors(node, iface.ifindex)) {
+      // The link's other enabled attachments (Topology::neighbors, without
+      // building a vector per visit).
+      for (const net::Attachment& nbr : topology.link(iface.link).attachments) {
+        if (nbr.node == node && nbr.ifindex == iface.ifindex) continue;
+        const net::Interface* peer = topology.node(nbr.node).interface(nbr.ifindex);
+        if (peer == nullptr || !peer->enabled) continue;
         const int cost = dist + iface.metric;
         if (cost >= result.distance[nbr.node]) continue;
         result.distance[nbr.node] = cost;
@@ -59,38 +64,44 @@ DijkstraResult dijkstra(const net::Topology& topology, net::NodeId source) {
 
 }  // namespace
 
-std::vector<UnicastRib> compute_global_routes(const net::Topology& topology) {
-  std::vector<UnicastRib> ribs(topology.node_count());
+UnicastRib compute_routes(const net::Topology& topology, net::NodeId id) {
+  const DijkstraResult paths = dijkstra(topology, id);
+  UnicastRib rib;
 
-  // Collect each node's connected subnets once.
-  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
-    const DijkstraResult paths = dijkstra(topology, id);
-    UnicastRib& rib = ribs[id];
+  // Directly connected subnets.
+  for (const net::Interface& iface : topology.node(id).interfaces) {
+    if (!iface.enabled) continue;
+    rib.install(UnicastRoute{iface.subnet, iface.ifindex, net::Ipv4Address{}, 0});
+  }
 
-    // Directly connected subnets.
-    for (const net::Interface& iface : topology.node(id).interfaces) {
+  // Remote subnets via shortest paths to their owning nodes. A subnet can
+  // be attached to several nodes (LANs); keep the closest attachment.
+  std::map<net::Prefix, int> best_metric;
+  for (const net::Interface& iface : topology.node(id).interfaces) {
+    if (iface.enabled) best_metric[iface.subnet] = 0;
+  }
+  for (net::NodeId other = 0; other < topology.node_count(); ++other) {
+    if (other == id || paths.first_if[other] == net::kInvalidIf) continue;
+    for (const net::Interface& iface : topology.node(other).interfaces) {
       if (!iface.enabled) continue;
-      rib.install(UnicastRoute{iface.subnet, iface.ifindex, net::Ipv4Address{}, 0});
-    }
-
-    // Remote subnets via shortest paths to their owning nodes. A subnet can
-    // be attached to several nodes (LANs); keep the closest attachment.
-    std::map<net::Prefix, int> best_metric;
-    for (const net::Interface& iface : topology.node(id).interfaces) {
-      if (iface.enabled) best_metric[iface.subnet] = 0;
-    }
-    for (net::NodeId other = 0; other < topology.node_count(); ++other) {
-      if (other == id || paths.first_if[other] == net::kInvalidIf) continue;
-      for (const net::Interface& iface : topology.node(other).interfaces) {
-        if (!iface.enabled) continue;
-        const auto it = best_metric.find(iface.subnet);
-        if (it != best_metric.end() && it->second <= paths.distance[other]) continue;
-        best_metric[iface.subnet] = paths.distance[other];
-        rib.install(UnicastRoute{iface.subnet, paths.first_if[other],
-                                 paths.first_nbr[other],
-                                 paths.distance[other]});
+      const auto [it, fresh] = best_metric.try_emplace(iface.subnet, paths.distance[other]);
+      if (!fresh) {
+        if (it->second <= paths.distance[other]) continue;
+        it->second = paths.distance[other];
       }
+      rib.install(UnicastRoute{iface.subnet, paths.first_if[other],
+                               paths.first_nbr[other],
+                               paths.distance[other]});
     }
+  }
+  return rib;
+}
+
+std::vector<UnicastRib> compute_global_routes(const net::Topology& topology) {
+  std::vector<UnicastRib> ribs;
+  ribs.reserve(topology.node_count());
+  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
+    ribs.push_back(compute_routes(topology, id));
   }
   return ribs;
 }

@@ -47,9 +47,12 @@ class UnicastRib {
   net::PrefixTrie<UnicastRoute> trie_;
 };
 
-/// Computes shortest paths from every node to every subnet and returns one
-/// RIB per node (indexed by NodeId). Metrics are per-interface costs; host
-/// nodes get a default route via their LAN.
+/// Computes shortest paths from `node` to every subnet and returns its RIB.
+/// Metrics are per-interface costs; of several attachments of one subnet,
+/// the closest (then lowest node id) wins.
+[[nodiscard]] UnicastRib compute_routes(const net::Topology& topology, net::NodeId node);
+
+/// compute_routes for every node, indexed by NodeId.
 [[nodiscard]] std::vector<UnicastRib> compute_global_routes(const net::Topology& topology);
 
 /// Shortest-path next hop from `from` towards `target` (node-level), or

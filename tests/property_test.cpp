@@ -130,6 +130,13 @@ struct LoggerCase {
   int keyframe_every;
 };
 
+// Named printing keeps the discovered test names stable: gtest's default
+// byte dump of the struct includes its uninitialised padding.
+void PrintTo(const LoggerCase& c, std::ostream* os) {
+  *os << (c.store_deltas ? "deltas" : "snapshots") << ", keyframe every "
+      << c.keyframe_every;
+}
+
 class LoggerReconstruction : public ::testing::TestWithParam<LoggerCase> {};
 
 TEST_P(LoggerReconstruction, StableFieldsExactEverywhere) {
@@ -227,6 +234,11 @@ struct DeliveryCase {
   router::MfcMode plane;
   int members;
 };
+
+void PrintTo(const DeliveryCase& c, std::ostream* os) {
+  *os << (c.plane == router::MfcMode::kDense ? "dense" : "sparse") << ", "
+      << c.members << " members";
+}
 
 class DeliveryCompleteness : public ::testing::TestWithParam<DeliveryCase> {};
 

@@ -205,17 +205,17 @@ TEST_F(RouterFixture, RpfSparseUsesUnicastRib) {
 TEST_F(RouterFixture, DenseAcceptRpfFailureDrops) {
   MulticastRouter* r1 = network_.router(r1_);
   // Source on r1's own LAN but claimed to arrive from the p2p interface.
-  const auto oifs = r1->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 0);
-  EXPECT_FALSE(oifs.has_value());
+  const MfcEntry* entry = r1->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 0);
+  EXPECT_EQ(entry, nullptr);
   EXPECT_EQ(r1->mfc().size(), 0u);
 }
 
 TEST_F(RouterFixture, DenseAcceptForwardsTowardDownstreamRouters) {
   MulticastRouter* r1 = network_.router(r1_);
   // Source on r1's LAN (ifindex 1), traffic should flood to r2 via if 0.
-  const auto oifs = r1->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 1);
-  ASSERT_TRUE(oifs.has_value());
-  EXPECT_EQ(oifs->count(0), 1u);
+  const MfcEntry* entry = r1->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 1);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->oifs.count(0), 1u);
   EXPECT_EQ(r1->mfc().size(), 1u);
 }
 
@@ -227,9 +227,9 @@ TEST_F(RouterFixture, LeafWithoutMembersPrunesUpstream) {
   // empty oifs and an upstream prune. (A prune for a still-unknown (S,G)
   // would be ignored, as in mrouted.)
   r1->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 1);
-  const auto oifs = r2->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 0);
-  ASSERT_TRUE(oifs.has_value());
-  EXPECT_TRUE(oifs->empty());
+  const MfcEntry* leaf = r2->dense_accept(net::Ipv4Address(10, 1, 1, 2), kGroup, 0);
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_TRUE(leaf->oifs.empty());
   engine_.run_until(engine_.now() + sim::Duration::seconds(1));
   // r1 received the prune, recorded it, and stopped forwarding to r2.
   const MfcEntry* entry = r1->mfc().find(net::Ipv4Address(10, 1, 1, 2), kGroup);
@@ -303,6 +303,33 @@ TEST_F(RouterFixture, TelnetCaptureHasBannerAndPrompt) {
   EXPECT_NE(text.find("Password:"), std::string::npos);
   EXPECT_NE(text.find("r1>"), std::string::npos);
   EXPECT_NE(text.find("\r\n"), std::string::npos);
+}
+
+// --- NodeSet (flow tree sets) ---------------------------------------------------
+
+TEST(NodeSet, IteratesSortedAndDeduplicates) {
+  NodeSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_TRUE(set.insert(2));
+  EXPECT_TRUE(set.insert(11));
+  EXPECT_FALSE(set.insert(7));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_EQ(std::vector<net::NodeId>(set.begin(), set.end()),
+            (std::vector<net::NodeId>{2, 7, 11}));
+  EXPECT_EQ(set.count(2), 1u);
+  EXPECT_EQ(set.count(11), 1u);
+  EXPECT_EQ(set.count(5), 0u);
+
+  // assign() takes walk order with repeats and keeps the std::set view.
+  set.assign({9, 3, 9, 1, 3});
+  EXPECT_EQ(std::vector<net::NodeId>(set.begin(), set.end()),
+            (std::vector<net::NodeId>{1, 3, 9}));
+  EXPECT_EQ(set.count(7), 0u);
+  EXPECT_EQ(set.count(9), 1u);
+  set.assign({});
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.begin(), set.end());
 }
 
 TEST(CliUptime, Formats) {
